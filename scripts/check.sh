@@ -10,7 +10,8 @@
 # against the plain fig2 JSONL), the probe layer (satisfied-monitor
 # byte-identity, breach exit + table, flight-recorder dump determinism),
 # the transport/DAOS layer (calibrated endpoint sweeps, run-twice and
-# jobs-count byte-identity), and the perf floors
+# jobs-count byte-identity), perfbench's output check on every workload
+# and seed slot, and the perf floors
 # (bench_engine/workload/scale/probe/transport vs their
 # committed BENCH_*.json; HCSIM_CHECK_PERF=0 to skip,
 # HCSIM_PERF_MAX_REGRESS to widen). A second profile repeats the
@@ -164,7 +165,7 @@ done
 # Scale gates (hcsim::scale): the flow-class demo must emit byte-identical
 # JSONL on repeated runs, and a 1,000,000-client open-loop run must
 # complete under a hard address-space ceiling — the memory-flat-in-members
-# contract enforced in-kernel (the run peaks under 10 MB RSS; 256 MB of
+# contract enforced in-kernel (the run peaks at about 14 MB RSS; 256 MB of
 # address space leaves room for allocator/runtime overhead only, never
 # for per-client state).
 "$BUILD/src/hcsim" scale --clients 100000 --classes 64 --horizon 2 \
@@ -176,6 +177,29 @@ grep -q '"classes":64' "$BUILD/check-scale-a.jsonl"
 grep -q 'flat in members' "$BUILD/check-scale.txt"
 ( ulimit -v 262144; "$BUILD/src/hcsim" scale > "$BUILD/check-scale-1m.txt" )
 grep -q '^scale: 1000192 clients as 256 flow classes' "$BUILD/check-scale-1m.txt"
+
+# Benchmark output gate: every modelled result perfbench checks must stay
+# within 2 % of perfbench/reference (the golden tolerance) on all four
+# workloads and all eight seed slots, so a solver or engine change that
+# moves results fails here, not first in a timed benchmark run. A
+# 1-second run still checks every cell of at least one full pass.
+PB_BUILD="$BUILD/perfbench"
+cmake -S "$ROOT/perfbench" -B "$PB_BUILD" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$PB_BUILD" --target perfbench -j"$JOBS"
+for workload in paper_repro scale_1m fault_drills metadata_storm; do
+  for seed in 0 1 2 3 4 5 6 7; do
+    "$PB_BUILD/perfbench" --workload "$workload" --seed "$seed" --seconds 1 --trace 0 \
+        --workloads "$ROOT/perfbench/workloads.json" \
+        --reference "$ROOT/perfbench/reference" \
+        > "$BUILD/check-perfbench.out" 2> "$BUILD/check-perfbench.err" || true
+    if ! tail -1 "$BUILD/check-perfbench.out" |
+        grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,'; then
+      echo "check.sh: perfbench $workload seed $seed failed its output check" >&2
+      cat "$BUILD/check-perfbench.err" >&2
+      exit 1
+    fi
+  done
+done
 
 # Probe gates (hcsim::probe): a chaos run with every monitor satisfied
 # must emit byte-identical JSONL to the same scenario with no monitors

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
 #include <vector>
+
+#include "util/random.hpp"
 
 namespace hcsim {
 namespace {
@@ -334,12 +339,227 @@ TEST(FlowNetwork, ReratesCountsEpochAdvances) {
   h.net.startFlow({500, {l}}, [](const FlowCompletion&) {});
   EXPECT_EQ(h.net.rerates(), 1u);  // initial completion scheduling
   h.net.startFlow({1000, {l}}, [](const FlowCompletion&) {});
-  // Arrival halves the first flow's rate: one re-rate + one fresh schedule.
-  EXPECT_EQ(h.net.rerates(), 3u);
+  // The arrival joins the first flow's group and halves its rate: the
+  // group's one event (held by the short head) is re-timed once.
+  EXPECT_EQ(h.net.rerates(), 2u);
+  EXPECT_EQ(h.sim.pendingEvents(), 1u);
   h.sim.run();
-  // The short flow's departure re-rates the survivor once more.
-  EXPECT_EQ(h.net.rerates(), 4u);
+  // The head's departure hands the group to the survivor: one fresh
+  // schedule for the new head.
+  EXPECT_EQ(h.net.rerates(), 3u);
 }
+
+TEST(FlowNetwork, SameSignatureFlowsHoldOneCompletionEvent) {
+  Harness h;
+  const LinkId l = h.net.addLink("l", 1000.0);
+  // Distinct sizes started out of size order: id order != size order.
+  std::vector<Bytes> sizes;
+  for (int i = 0; i < 1000; ++i) sizes.push_back(1000 + static_cast<Bytes>((i * 379) % 1000) * 10);
+  std::vector<Bytes> done;
+  for (Bytes b : sizes) {
+    h.net.startFlow({b, {l}}, [&](const FlowCompletion& c) { done.push_back(c.bytes); });
+  }
+  EXPECT_EQ(h.sim.pendingEvents(), 1u);
+  EXPECT_NO_THROW(h.net.checkInvariants());
+  const std::uint64_t before = h.net.rerates();
+  h.sim.runUntil(1.0);
+  h.net.setLinkCapacity(l, 500.0);
+  EXPECT_EQ(h.net.rerates(), before + 1);
+  EXPECT_EQ(h.sim.pendingEvents(), 1u);
+  h.sim.run();
+  ASSERT_EQ(done.size(), sizes.size());
+  std::sort(sizes.begin(), sizes.end());
+  EXPECT_EQ(done, sizes);
+}
+
+// ---- Regrouping: reroutes, aborts and out-of-order activation ----
+
+TEST(FlowNetwork, ReplaceLinkMergesIntoExistingGroup) {
+  Harness h;
+  const LinkId a = h.net.addLink("a", 100.0);
+  const LinkId b = h.net.addLink("b", 100.0);
+  std::map<FlowId, SimTime> ends;
+  const auto record = [&](const FlowCompletion& c) { ends[c.id] = c.endTime; };
+  const FlowId x = h.net.startFlow({1000, {a}}, record);
+  const FlowId y = h.net.startFlow({900, {b}}, record);
+  const FlowId z = h.net.startFlow({2000, {b}}, record);
+  FlowId w = 0;
+  h.sim.schedule(2.0, [&] {
+    // x moved 200 B alone on a, y 100 B sharing b: both have 800 B left.
+    EXPECT_EQ(h.net.replaceLinkInFlows(a, b), 1u);
+    w = h.net.startFlow({1000, {b}}, record);
+    EXPECT_EQ(h.net.flowRate(x), h.net.flowRate(w));
+    EXPECT_EQ(h.net.flowRate(y), h.net.flowRate(w));
+    EXPECT_DOUBLE_EQ(h.net.flowRate(w), 25.0);
+    EXPECT_EQ(h.net.activeFlows(), 4u);
+    EXPECT_EQ(h.sim.pendingEvents(), 1u);  // one group left, one event
+    EXPECT_NO_THROW(h.net.checkInvariants());
+  });
+  h.sim.run();
+  // x and y (800 B each at 25 B/s) finish together at 34 s; w then has
+  // 200 B at 50 B/s (38 s); z has 900 B at 100 B/s after that (47 s).
+  EXPECT_EQ(ends[x], ends[y]);
+  EXPECT_NEAR(ends[x], 34.0, 1e-9);
+  EXPECT_NEAR(ends[w], 38.0, 1e-9);
+  EXPECT_NEAR(ends[z], 47.0, 1e-9);
+  EXPECT_NEAR(h.net.link(a).bytesCarried, 200.0, 1e-6);
+  EXPECT_NEAR(h.net.link(b).bytesCarried, 800.0 + 900.0 + 2000.0 + 1000.0, 1e-6);
+}
+
+TEST(FlowNetwork, AbortOfGroupHeadPromotesNextMember) {
+  Harness h;
+  const LinkId l = h.net.addLink("l", 90.0);
+  std::map<FlowId, SimTime> ends;
+  const auto record = [&](const FlowCompletion& c) { ends[c.id] = c.endTime; };
+  const FlowId head = h.net.startFlow({500, {l}}, record);
+  const FlowId next = h.net.startFlow({1000, {l}}, record);
+  const FlowId last = h.net.startFlow({1500, {l}}, record);
+  h.sim.schedule(3.0, [&] {
+    // 90 B of each moved; the head (smallest) leaves with 410 B undelivered.
+    EXPECT_TRUE(h.net.abortFlow(head));
+    EXPECT_FALSE(h.net.abortFlow(head));
+    EXPECT_EQ(h.sim.pendingEvents(), 1u);
+    EXPECT_NO_THROW(h.net.checkInvariants());
+  });
+  h.sim.run();
+  EXPECT_EQ(ends.count(head), 0u);
+  // next: 910 B at 45 B/s -> 3 + 910/45; last then has 500 B at 90 B/s.
+  const double nextEnd = 3.0 + 910.0 / 45.0;
+  EXPECT_NEAR(ends[next], nextEnd, 1e-9);
+  EXPECT_NEAR(ends[last], nextEnd + 500.0 / 90.0, 1e-9);
+  EXPECT_NEAR(h.net.link(l).bytesCarried, 90.0 + 1000.0 + 1500.0, 1e-6);
+}
+
+TEST(FlowNetwork, OutOfIdOrderActivationFillsByLowestId) {
+  // Groups with awkward weights on shared links: the fill order changes
+  // the rounding of the solved rates. Flows activate in reverse id order
+  // in one run and in id order in the other; the rates must match bit
+  // for bit, because both fill in ascending lowest-member-id order.
+  const auto run = [](bool reversed) {
+    Harness h;
+    const LinkId shared = h.net.addLink("shared", 1000.0 / 3.0);
+    const LinkId side = h.net.addLink("side", 700.0 / 9.0);
+    std::vector<FlowId> ids;
+    const int n = 7;
+    for (int i = 0; i < n; ++i) {
+      FlowSpec spec{1000000, i % 2 ? Route{shared, side} : Route{shared}};
+      spec.weight = 0.1 * (i + 1) + 1.0 / 3.0;
+      spec.startupLatency = 1.0 + (reversed ? n - i : i) * 0.125;
+      ids.push_back(h.net.startFlow(spec, nullptr));
+    }
+    h.sim.runUntil(3.0);
+    std::vector<Bandwidth> rates;
+    for (FlowId id : ids) rates.push_back(h.net.flowRate(id));
+    EXPECT_NO_THROW(h.net.checkInvariants());
+    return rates;
+  };
+  const std::vector<Bandwidth> inOrder = run(false);
+  const std::vector<Bandwidth> reversed = run(true);
+  ASSERT_EQ(inOrder.size(), reversed.size());
+  for (std::size_t i = 0; i < inOrder.size(); ++i) {
+    EXPECT_GT(inOrder[i], 0.0);
+    EXPECT_EQ(inOrder[i], reversed[i]) << "flow " << i;
+  }
+}
+
+TEST(FlowNetwork, EqualHistoriesFinishTogetherAcrossGroups) {
+  // x joins a group that has already served an awkward amount; y starts a
+  // fresh group. Both then see the same rates, so they must finish at the
+  // same instant bit for bit, or same-time events reorder.
+  const auto run = [](Bytes bytes) {
+    Harness h;
+    const LinkId a = h.net.addLink("a", 1e12);
+    const LinkId b = h.net.addLink("b", 1e12);
+    const LinkId c = h.net.addLink("c", 1e12);
+    const LinkId shared = h.net.addLink("shared", 1000.0 / 3.0);
+    h.net.startFlow({1000000000, {a, shared}}, nullptr);
+    SimTime endX = -1, endY = -2;
+    h.sim.schedule(0.7, [&] {
+      h.net.startFlow({bytes, {a, shared}}, [&](const FlowCompletion& c) { endX = c.endTime; });
+      h.net.startFlow({bytes, {b, shared}}, [&](const FlowCompletion& c) { endY = c.endTime; });
+    });
+    // A third group arrives early on: both completions are re-timed from
+    // what each group has served so far.
+    h.sim.schedule(0.7123, [&] { h.net.startFlow({1000000000, {c, shared}}, nullptr); });
+    h.sim.runUntil(1e6);
+    return std::pair{endX, endY};
+  };
+  for (Bytes bytes : {Bytes{12345}, Bytes{777777}, Bytes{1048576}, Bytes{3}}) {
+    const auto [endX, endY] = run(bytes);
+    EXPECT_GT(endX, 0.7) << bytes;
+    EXPECT_EQ(endX, endY) << bytes;
+  }
+}
+
+// ---- Property: the solver invariants hold after every step ----
+
+class SolverInvariantTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverInvariantTest, HoldAfterEveryStep) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
+  Harness h;
+  std::vector<LinkId> links;
+  for (int i = 0; i < 6; ++i) {
+    links.push_back(h.net.addLink("l" + std::to_string(i), rng.uniform(50.0, 500.0)));
+  }
+  // A few routes, caps and weights so that flows share signatures.
+  std::vector<Route> routes;
+  for (int r = 0; r < 5; ++r) {
+    Route route;
+    for (LinkId l : links) {
+      if (rng.uniform() < 0.4) route.push_back(l);
+    }
+    if (route.empty()) route.push_back(links[static_cast<std::size_t>(r)]);
+    routes.push_back(route);
+  }
+  const double caps[] = {std::numeric_limits<double>::infinity(), 40.0, 75.5};
+  const double weights[] = {1.0, 0.5, 3.0, 0.3};
+
+  std::map<FlowId, int> completions;
+  std::vector<FlowId> started;
+  std::vector<FlowId> aborted;
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t op = rng.uniformInt(10);
+    if (op < 4) {
+      FlowSpec spec{1 + rng.uniformInt(20000), routes[rng.uniformInt(routes.size())]};
+      spec.rateCap = caps[rng.uniformInt(3)];
+      spec.weight = weights[rng.uniformInt(4)];
+      spec.members = static_cast<std::uint32_t>(1 + rng.uniformInt(3));
+      if (rng.uniform() < 0.5) spec.startupLatency = rng.uniform(0.0, 2.0);
+      started.push_back(h.net.startFlow(spec, [&](const FlowCompletion& c) {
+        ++completions[c.id];
+        EXPECT_NO_THROW(h.net.checkInvariants());
+      }));
+    } else if (op < 6) {
+      h.sim.runUntil(h.sim.now() + rng.uniform(0.0, 5.0));  // completions
+    } else if (op == 6 && !started.empty()) {
+      const FlowId victim = started[rng.uniformInt(started.size())];
+      if (h.net.abortFlow(victim)) aborted.push_back(victim);
+    } else if (op == 7) {
+      h.net.setLinkCapacity(links[rng.uniformInt(links.size())], rng.uniform(0.0, 500.0));
+    } else if (op == 8) {
+      const double health = rng.uniform() < 0.3 ? 0.0 : rng.uniform(0.1, 1.0);
+      h.net.setLinkHealth(links[rng.uniformInt(links.size())], health);
+    } else {
+      h.net.replaceLinkInFlows(links[rng.uniformInt(links.size())],
+                               links[rng.uniformInt(links.size())]);
+    }
+    ASSERT_NO_THROW(h.net.checkInvariants()) << "step " << step << " op " << op;
+  }
+  // Heal everything so every surviving flow can finish.
+  for (LinkId l : links) {
+    h.net.setLinkHealth(l, 1.0);
+    h.net.setLinkCapacity(l, 100.0);
+    ASSERT_NO_THROW(h.net.checkInvariants());
+  }
+  h.sim.run();
+  EXPECT_EQ(h.net.activeFlows(), 0u);
+  for (const auto& [id, count] : completions) EXPECT_EQ(count, 1) << "flow " << id;
+  for (FlowId id : aborted) EXPECT_EQ(completions.count(id), 0u) << "aborted flow " << id;
+  EXPECT_EQ(completions.size() + aborted.size(), started.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeded, SolverInvariantTest, ::testing::Range(0, 16));
 
 TEST_P(MaxMinPropertyTest, NoLinkOversubscribedAndWorkConserving) {
   const int seed = GetParam();
