@@ -14,9 +14,11 @@
 # and seed slot, and the perf floors
 # (bench_engine/workload/scale/probe/transport vs their
 # committed BENCH_*.json; HCSIM_CHECK_PERF=0 to skip,
-# HCSIM_PERF_MAX_REGRESS to widen). A second profile repeats the
-# tests and an oracle smoke run under ASan+UBSan with sanitizers fatal;
-# export HCSIM_CHECK_SANITIZE=0 to skip it. HCSIM_CHECK_TSAN=1 adds a
+# HCSIM_PERF_MAX_REGRESS to widen). A Debug profile repeats the tests
+# with assertions on, so FlowNetwork::checkInvariants() checks every
+# solve. A further profile repeats the tests and an oracle smoke run
+# under ASan+UBSan with sanitizers fatal; export HCSIM_CHECK_SANITIZE=0
+# to skip it. HCSIM_CHECK_TSAN=1 adds a
 # ThreadSanitizer pass over the probe + telemetry test binaries.
 set -euo pipefail
 
@@ -249,6 +251,17 @@ if [ "${HCSIM_CHECK_PERF:-1}" != "0" ]; then
   run_perf_gate bench_probe "$ROOT/BENCH_probe.json"
   run_perf_gate bench_transport "$ROOT/BENCH_transport.json"
 fi
+
+# Debug profile: every other profile defines NDEBUG, so only here does
+# FlowNetwork::checkInvariants() run after every solve in every test
+# (per-link load within capacity x health, every positive-rate group
+# capped or bottlenecked, group bookkeeping). Benches/examples are
+# skipped.
+DBG_BUILD="${HCSIM_CHECK_DEBUG_BUILD_DIR:-$ROOT/build-check-debug}"
+cmake -S "$ROOT" -B "$DBG_BUILD" -DCMAKE_BUILD_TYPE=Debug \
+    -DHCSIM_BUILD_BENCH=OFF -DHCSIM_BUILD_EXAMPLES=OFF
+cmake --build "$DBG_BUILD" -j"$JOBS"
+ctest --test-dir "$DBG_BUILD" --output-on-failure -j"$JOBS"
 
 # ASan+UBSan profile: rebuild the library + tests with sanitizers fatal
 # and re-run the full suite plus an oracle smoke. Benches/examples are

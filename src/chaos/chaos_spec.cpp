@@ -200,8 +200,9 @@ bool loadChaosSpec(const std::string& path, ChaosSpec& out, std::string& error) 
   std::stringstream ss;
   ss << in.rdbuf();
   JsonValue j;
-  if (!parseJson(ss.str(), j)) {
-    error = path + ": not valid JSON";
+  std::string why;
+  if (!parseJson(ss.str(), j, &why)) {
+    error = path + ": not valid JSON: " + why;
     return false;
   }
   if (!parseChaosSpec(j, out, error)) {

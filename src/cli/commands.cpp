@@ -342,8 +342,9 @@ int cmdSweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   sweep::SweepSpec spec;
-  if (!sweep::loadSpec(*specPath, spec)) {
-    err << "error: cannot load sweep spec from " << *specPath << "\n";
+  std::string why;
+  if (!sweep::loadSpec(*specPath, spec, &why)) {
+    err << "error: cannot load sweep spec from " << *specPath << ": " << why << "\n";
     return 2;
   }
   std::size_t jobs = args.sizeOr("--jobs", sweep::defaultJobs());
@@ -507,8 +508,9 @@ int cmdWorkload(const ArgParser& args, std::ostream& out, std::ostream& err) {
   }
   std::string text((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
   JsonValue doc;
-  if (!parseJson(text, doc)) {
-    err << "error: " << specPath << " is not valid JSON\n";
+  std::string why;
+  if (!parseJson(text, doc, &why)) {
+    err << "error: " << specPath << " is not valid JSON: " << why << "\n";
     return 2;
   }
   // Collect every envelope + generator problem before giving up, so one
@@ -615,7 +617,12 @@ int cmdProbe(const ArgParser& args, std::ostream& out, std::ostream& err) {
   }
   std::string text((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
   JsonValue doc;
-  if (!parseJson(text, doc) || !doc.isObject()) {
+  std::string why;
+  if (!parseJson(text, doc, &why)) {
+    err << "error: " << specPath << " is not valid JSON: " << why << "\n";
+    return 2;
+  }
+  if (!doc.isObject()) {
     err << "error: " << specPath << " is not a JSON object\n";
     return 2;
   }

@@ -95,6 +95,7 @@ void TestBench::collectMetrics(telemetry::MetricsRegistry& reg, const FileSystem
   reg.gauge("engine.events.pending", static_cast<double>(sim_.pendingEvents()));
   reg.gauge("engine.slab.slots", static_cast<double>(sim_.slabSize()));
   reg.counter("net.rerates", static_cast<double>(net_.rerates()));
+  reg.counter("net.solves", static_cast<double>(net_.solves()));
   reg.gauge("net.flows.active", static_cast<double>(net_.activeFlows()));
   reg.gauge("net.links", static_cast<double>(net_.linkCount()));
   for (const LinkStats& ls : net_.linkStats()) {

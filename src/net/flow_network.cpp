@@ -120,7 +120,7 @@ void FlowNetwork::setLinkCapacity(LinkId id, Bandwidth capacity) {
   if (l.capacity == capacity) return;
   advanceProgress();  // credit progress at the old rates first
   l.capacity = capacity;
-  rebalance();
+  markDirty();
 }
 
 void FlowNetwork::setLinkHealth(LinkId id, double health) {
@@ -132,7 +132,7 @@ void FlowNetwork::setLinkHealth(LinkId id, double health) {
   if (probe::FlightRecorder* rec = sim_.recorder()) {
     rec->record(sim_.now(), probe::RecordKind::LinkHealth, id.value, clamped);
   }
-  rebalance();
+  markDirty();
 }
 
 bool FlowNetwork::abortFlow(FlowId id) {
@@ -149,7 +149,7 @@ bool FlowNetwork::abortFlow(FlowId id) {
   if (tel_ && f.spanIdx != telemetry::kNoSpan) tel_->endSpan(f.spanIdx, sim_.now());
   leaveGroup(slot);
   releaseFlow(slot);
-  rebalance();
+  markDirty();
   return true;
 }
 
@@ -175,7 +175,7 @@ std::size_t FlowNetwork::replaceLinkInFlows(LinkId from, LinkId to) {
       mergeGroup(gi, it->second);
     }
   }
-  if (rerouted > 0) rebalance();
+  if (rerouted > 0) markDirty();
   return rerouted;
 }
 
@@ -244,7 +244,7 @@ void FlowNetwork::activate(ActiveFlow flow, Signature sig) {
   }
   slotOf_.emplace(flows_[slot].id, slot);
   joinGroup(slot, std::move(sig));
-  rebalance();
+  markDirty();
 }
 
 void FlowNetwork::joinGroup(std::uint32_t slot, Signature sig) {
@@ -467,7 +467,29 @@ void FlowNetwork::computeMaxMinRates() {
   }
 }
 
+FlowNetwork::~FlowNetwork() {
+  if (flushQueued_) sim_.dropEndOfInstant(this);
+}
+
+void FlowNetwork::markDirty() {
+  dirty_ = true;
+  if (flushQueued_) return;
+  flushQueued_ = true;
+  sim_.atEndOfInstant(this, [this] {
+    flushQueued_ = false;
+    if (dirty_) rebalance();
+  });
+}
+
+void FlowNetwork::solvePending() const {
+  // The allocation is a cache of a pure function of the live groups, so
+  // filling it on a read is logically const. No FlowNetwork is const.
+  if (dirty_) const_cast<FlowNetwork*>(this)->rebalance();
+}
+
 void FlowNetwork::rebalance() {
+  dirty_ = false;
+  ++solves_;
   {
     probe::SelfProfiler::Scope scope(sim_.profiler(), probe::SelfProfiler::Bucket::Solve);
     computeMaxMinRates();
@@ -527,9 +549,9 @@ void FlowNetwork::completeHead(std::uint32_t gi) {
   g.etaDrift = 0.0;
   const ExactBytes tag = flows_[g.byTag.front()].tag;
   if (remaining(flows_[g.byTag.front()]) > 1.0) {
-    // Defensive: floating-point drift left real bytes outstanding; let
-    // rebalance() schedule a fresh event.
-    rebalance();
+    // Defensive: floating-point drift left real bytes outstanding; the
+    // instant's solve schedules a fresh event.
+    markDirty();
     return;
   }
   // The heap breaks tag ties by id, so equal-tag members pop in id order.
@@ -550,7 +572,7 @@ void FlowNetwork::completeHead(std::uint32_t gi) {
     leaveGroup(slot);
     releaseFlow(slot);
   }
-  rebalance();
+  markDirty();
   for (Done& d : done) {
     if (d.onComplete) d.onComplete(d.completion);
   }
@@ -559,6 +581,7 @@ void FlowNetwork::completeHead(std::uint32_t gi) {
 }
 
 Bandwidth FlowNetwork::flowRate(FlowId id) const {
+  solvePending();
   const auto it = slotOf_.find(id);
   if (it == slotOf_.end()) return 0.0;
   const ActiveFlow& f = flows_[it->second];
@@ -572,6 +595,7 @@ std::uint64_t FlowNetwork::activeMembers() const {
 }
 
 std::vector<LinkStats> FlowNetwork::linkStats() const {
+  solvePending();
   std::vector<LinkStats> out;
   out.reserve(links_.size());
   std::vector<Bandwidth> alloc(links_.size(), 0.0);
@@ -591,6 +615,7 @@ std::vector<LinkStats> FlowNetwork::linkStats() const {
 }
 
 void FlowNetwork::checkInvariants() const {
+  solvePending();
   const auto fail = [](const std::string& what) {
     throw std::logic_error("FlowNetwork invariant: " + what);
   };

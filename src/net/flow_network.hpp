@@ -5,10 +5,23 @@
 // any instant every active flow has a rate given by progressive-filling
 // max-min fairness subject to (a) each link's capacity and (b) an optional
 // per-flow rate cap (used to model single-stream TCP limits, per-NFS-
-// session serialization, and device ceilings). Whenever a flow starts or
-// finishes, the allocation is recomputed and the completion events of
+// session serialization, and device ceilings). Whenever flows start or
+// finish, the allocation is recomputed and the completion events of
 // affected signature groups are re-timed — the standard flow-level
 // network simulation technique.
+//
+// ## One solve per instant
+//
+// Changes (arrivals, completions, aborts, capacity and health changes,
+// reroutes) only mark the network dirty. The first one in an instant
+// registers a Simulator end-of-instant callback, which runs one solve and
+// one re-timing pass after the last event at that instant and before
+// time advances — the lazy update of SimGrid's LMM solver (Casanova et
+// al., JPDC 2014). Rates only matter over a positive interval and the
+// solve is a pure function of the live groups, so this gives, bit for
+// bit, the rates a solve after every change would have left behind.
+// flowRate, linkStats and checkInvariants solve first if a change is
+// pending, so reads never see stale rates.
 //
 // ## Signature groups and virtual time
 //
@@ -17,7 +30,7 @@
 // live in one persistent *signature group*: a flow joins its group when
 // it activates, leaves when it finishes or aborts, and is re-keyed
 // (merging into an existing group if the new signature exists) by
-// replaceLinkInFlows. Nothing is sorted per event except the groups.
+// replaceLinkInFlows. Nothing is sorted per solve except the groups.
 //
 // Each group keeps a virtual service counter `served` — bytes per
 // member delivered since the group formed — advanced only as
@@ -35,8 +48,8 @@
 // ## Epoch re-rating protocol
 //
 // A group's completion event is scheduled when the group first gets a
-// positive rate and is re-timed in place (`Simulator::adjustKey`) on
-// later rebalances: O(G log n) heap work for G groups, zero
+// positive rate and is re-timed in place (`Simulator::adjustKey`) by
+// later solves: O(G log n) heap work for G groups, zero
 // allocations, zero tombstones. `scheduledEta` always equals the
 // absolute time the live event will fire. adjustKey assigns the event
 // a fresh FIFO sequence number, so same-timestamp dispatch order is
@@ -113,6 +126,7 @@ struct FlowCompletion {
 class FlowNetwork {
  public:
   explicit FlowNetwork(Simulator& sim) : sim_(sim) {}
+  ~FlowNetwork();
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
@@ -121,14 +135,15 @@ class FlowNetwork {
 
   /// Change a link's capacity at runtime (e.g. a device whose effective
   /// throughput depends on the current access pattern). In-flight flows
-  /// are re-rated immediately.
+  /// re-rate at the end of the instant.
   void setLinkCapacity(LinkId id, Bandwidth capacity);
 
   /// Fault injection: scale a link's *effective* capacity by a health
   /// factor in [0, 1] without touching the configured capacity, so model
   /// code that re-derives capacities per phase composes with chaos
-  /// degradation. In-flight flows re-rate immediately; flows whose whole
-  /// path loses capacity stall (rate 0) and resume when health returns.
+  /// degradation. In-flight flows re-rate at the end of the instant; flows
+  /// whose whole path loses capacity stall (rate 0) and resume when health
+  /// returns.
   void setLinkHealth(LinkId id, double health);
   double linkHealth(LinkId id) const { return links_.at(id.value).health; }
 
@@ -177,6 +192,11 @@ class FlowNetwork {
   /// rebalance over G signature groups adds at most G, however many flows
   /// they hold; hysteresis-skipped groups add nothing.
   std::uint64_t rerates() const { return rerates_; }
+
+  /// Max-min solves performed since construction: at most one per
+  /// simulated instant with changes, plus one per read that found a
+  /// change pending.
+  std::uint64_t solves() const { return solves_; }
 
   /// Verify the solver's invariants and throw std::logic_error naming the
   /// first violation: per link, sum(rate x members) <= capacity x health;
@@ -267,6 +287,10 @@ class FlowNetwork {
 
   /// Recompute the max-min fair allocation and (re)time group completions.
   void rebalance();
+  /// Record a change: solve at the end of this instant.
+  void markDirty();
+  /// Solve now if a change is pending (for reads).
+  void solvePending() const;
 
   /// Hierarchical progressive filling over the live groups in ascending
   /// lowest-member-id order, each weighted by `weight x total members`.
@@ -318,6 +342,9 @@ class FlowNetwork {
   std::vector<Link> links_;
   FlowId nextFlowId_ = 1;
   std::uint64_t rerates_ = 0;
+  std::uint64_t solves_ = 0;
+  bool dirty_ = false;        // a change awaits the instant's solve
+  bool flushQueued_ = false;  // an end-of-instant callback is registered
   SimTime lastAdvance_ = 0.0;
   telemetry::Telemetry* tel_ = nullptr;
 

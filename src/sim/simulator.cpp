@@ -149,21 +149,53 @@ void Simulator::dispatchRoot() {
                       static_cast<std::uint32_t>(heap_.size()),
                       static_cast<double>(dispatched_));
   }
+  // The end-of-instant phase runs in this event's scope, so profiler
+  // callback scopes stay one per dispatch.
   probe::SelfProfiler::Scope scope(profiler_, probe::SelfProfiler::Bucket::Callback);
   fn();
+  endInstant();
+}
+
+void Simulator::atEndOfInstant(const void* owner, EventFn fn) {
+  instantEnd_.push_back(InstantEnd{owner, std::move(fn)});
+}
+
+void Simulator::dropEndOfInstant(const void* owner) {
+  const auto owned = [owner](const InstantEnd& e) { return e.owner == owner; };
+  std::erase_if(instantEnd_, owned);
+  // A batch entry may be dropped by an earlier callback of the same batch.
+  for (InstantEnd& e : instantRun_) {
+    if (owned(e)) e.fn = nullptr;
+  }
+}
+
+void Simulator::runInstantEnd() {
+  // Callbacks may register more for this instant; those run in the next
+  // round unless a callback scheduled an event at now() first.
+  do {
+    instantRun_.swap(instantEnd_);
+    for (std::size_t i = 0; i < instantRun_.size(); ++i) {
+      EventFn fn = std::move(instantRun_[i].fn);
+      if (fn) fn();
+    }
+    instantRun_.clear();
+  } while (!instantEnd_.empty() && instantOver());
 }
 
 bool Simulator::step() {
+  endInstant();
   if (heap_.empty()) return false;
   dispatchRoot();
   return true;
 }
 
 void Simulator::run() {
+  endInstant();
   while (!heap_.empty()) dispatchRoot();
 }
 
 void Simulator::runUntil(SimTime t) {
+  endInstant();
   while (!heap_.empty() && slots_[heap_[0]].time <= t) dispatchRoot();
   if (now_ < t) now_ = t;
 }

@@ -20,6 +20,20 @@
 // scheduleAt pair would have produced. Nothing in the engine may reorder
 // equal-(time, seq) events or dispatch a cancelled one.
 //
+// ## End of instant
+//
+// A component that batches work per simulated instant (the FlowNetwork
+// solves its max-min allocation once per instant, however many flows
+// arrive, finish or re-route at it) registers an end-of-instant callback
+// with atEndOfInstant(). Registered callbacks run once, in registration
+// order, after the last event at now() has dispatched and before time
+// advances: when the queue is empty or its root is later than now().
+// They are not events — they take no seq, count as no dispatch and run
+// inside the dispatching event's profiler scope — so an event a callback
+// schedules at now() dispatches after it, and its own callbacks run after
+// that event. run(), runUntil() and step() first close an instant left
+// open by changes made outside any event.
+//
 // ## Implementation
 //
 // The queue is an indexed 4-ary heap over a slab of event slots:
@@ -98,6 +112,15 @@ class Simulator {
   /// event already queued for that instant. Returns false (and does
   /// nothing) when the id is no longer pending.
   bool adjustKey(EventId id, SimTime t);
+
+  /// Register `fn` to run once at the end of the current instant (see
+  /// "End of instant" above). `owner` keys the registration for
+  /// dropEndOfInstant.
+  void atEndOfInstant(const void* owner, EventFn fn);
+
+  /// Forget every pending end-of-instant callback registered by `owner`
+  /// (an owner being destroyed must leave none behind).
+  void dropEndOfInstant(const void* owner);
 
   /// Dispatch events until the queue is empty.
   void run();
@@ -182,8 +205,17 @@ class Simulator {
   /// Decode an EventId to a live slot index; kNpos when stale/invalid.
   std::uint32_t decode(EventId id) const;
 
-  /// Pop the heap root and invoke its callback (queue must be non-empty).
+  /// Pop the heap root and invoke its callback (queue must be non-empty),
+  /// then close the instant if that was its last event.
   void dispatchRoot();
+
+  /// True when no event is left at now().
+  bool instantOver() const { return heap_.empty() || slots_[heap_[0]].time > now_; }
+  /// Run the end-of-instant callbacks if the instant is over.
+  void endInstant() {
+    if (!instantEnd_.empty() && instantOver()) runInstantEnd();
+  }
+  void runInstantEnd();
 
   SimTime now_ = 0.0;
   std::uint64_t nextSeq_ = 1;
@@ -195,6 +227,12 @@ class Simulator {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> freeSlots_;
   std::vector<std::uint32_t> heap_;
+  struct InstantEnd {
+    const void* owner;
+    EventFn fn;
+  };
+  std::vector<InstantEnd> instantEnd_;  // registered for the current instant
+  std::vector<InstantEnd> instantRun_;  // the batch being run
   probe::FlightRecorder* recorder_ = nullptr;
   probe::SelfProfiler* profiler_ = nullptr;
 };

@@ -79,14 +79,20 @@ bool fromJson(const JsonValue& j, SweepSpec& out) {
   return true;
 }
 
-bool loadSpec(const std::string& path, SweepSpec& out) {
+bool loadSpec(const std::string& path, SweepSpec& out, std::string* error) {
+  const auto fail = [error](std::string why) {
+    if (error) *error = std::move(why);
+    return false;
+  };
   std::ifstream in(path);
-  if (!in) return false;
+  if (!in) return fail("cannot open file");
   std::stringstream ss;
   ss << in.rdbuf();
   JsonValue j;
-  if (!parseJson(ss.str(), j)) return false;
-  return fromJson(j, out);
+  std::string why;
+  if (!parseJson(ss.str(), j, &why)) return fail(why);
+  if (!fromJson(j, out)) return fail("not a valid sweep spec");
+  return true;
 }
 
 JsonValue deepCopy(const JsonValue& v) {

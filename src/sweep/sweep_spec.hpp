@@ -48,8 +48,8 @@ struct SweepSpec {
 
 JsonValue toJson(const SweepSpec& spec);
 bool fromJson(const JsonValue& j, SweepSpec& out);
-/// Load a spec from a JSON file.
-bool loadSpec(const std::string& path, SweepSpec& out);
+/// Load a spec from a JSON file. On failure `error`, if given, says why.
+bool loadSpec(const std::string& path, SweepSpec& out, std::string* error = nullptr);
 
 /// Deep copy a JSON tree. JsonValue's copy constructor shares arrays and
 /// objects (shared_ptr); trials handed to worker threads need their own.

@@ -36,11 +36,20 @@ class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
 
-  bool parse(JsonValue& out) {
+  bool parse(JsonValue& out, std::string* error) {
     skipWs();
-    if (!value(out)) return false;
-    skipWs();
-    return pos_ == s_.size();
+    bool ok = value(out);
+    if (ok) {
+      skipWs();
+      ok = pos_ == s_.size();
+    }
+    if (!ok && error) {
+      *error = tooDeep_ ? "nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                              " levels at byte " + std::to_string(pos_) +
+                              " (flatten the document)"
+                        : "malformed JSON at byte " + std::to_string(pos_);
+    }
+    return ok;
   }
 
  private:
@@ -67,8 +76,17 @@ class Parser {
     skipWs();
     if (pos_ >= s_.size()) return false;
     switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          tooDeep_ = true;
+          return false;
+        }
+        ++depth_;
+        const bool ok = s_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string str;
         if (!string(str)) return false;
@@ -215,6 +233,8 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  bool tooDeep_ = false;
 };
 
 void writeValue(const JsonValue& v, std::ostringstream& os, int indent, int depth) {
@@ -267,9 +287,9 @@ void writeValue(const JsonValue& v, std::ostringstream& os, int indent, int dept
 
 }  // namespace
 
-bool parseJson(const std::string& text, JsonValue& out) {
+bool parseJson(const std::string& text, JsonValue& out, std::string* error) {
   Parser p(text);
-  return p.parse(out);
+  return p.parse(out, error);
 }
 
 std::string writeJson(const JsonValue& value, int indent) {

@@ -72,8 +72,14 @@ class JsonValue {
       v_ = nullptr;
 };
 
-/// Parse a complete JSON document. Returns false on malformed input.
-bool parseJson(const std::string& text, JsonValue& out);
+/// Arrays and objects nested deeper than this are rejected: the parser
+/// recurses once per level, and hostile input must not exhaust the stack.
+inline constexpr int kMaxJsonDepth = 256;
+
+/// Parse a complete JSON document. Returns false on malformed input or
+/// nesting deeper than kMaxJsonDepth, and then, if `error` is given, sets
+/// it to one line saying what is wrong and at which byte.
+bool parseJson(const std::string& text, JsonValue& out, std::string* error = nullptr);
 
 /// Serialize (compact; `indent` > 0 pretty-prints).
 std::string writeJson(const JsonValue& value, int indent = 0);

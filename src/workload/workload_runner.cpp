@@ -7,6 +7,7 @@
 #include "probe/flight_recorder.hpp"
 #include "scale/flow_class.hpp"
 #include "telemetry/metrics_registry.hpp"
+#include "util/json.hpp"
 
 namespace hcsim::workload {
 
@@ -286,6 +287,14 @@ struct WorkloadRunner::Impl {
     });
   }
 };
+
+void WorkloadRunner::setSampleInterval(Seconds interval) {
+  if (!(interval >= kMinSampleIntervalSec)) {
+    throw std::invalid_argument("WorkloadRunner: sample interval must be >= " +
+                                jsonNumber(kMinSampleIntervalSec) + " seconds");
+  }
+  sampleIntervalOverride_ = interval;
+}
 
 WorkloadOutcome WorkloadRunner::run(WorkloadSource& source) {
   Impl impl;

@@ -90,12 +90,13 @@ class WorkloadRunner {
   /// timeline sampler and op completions (probe/monitor.hpp).
   void setMonitors(std::vector<probe::MonitorSpec> monitors) { monitors_ = std::move(monitors); }
 
-  /// Override the plan's goodput sample interval (> 0 seconds). Also
-  /// enables timeline sampling for closed-loop generators, which have no
-  /// horizon: sampling then stops at the first slice boundary after the
-  /// workload drains. Without the override only open-loop plans with a
-  /// horizon sample, exactly as before.
-  void setSampleInterval(Seconds interval) { sampleIntervalOverride_ = interval; }
+  /// Override the plan's goodput sample interval (>= kMinSampleIntervalSec;
+  /// throws std::invalid_argument otherwise). Also enables timeline
+  /// sampling for closed-loop generators, which have no horizon: sampling
+  /// then stops at the first slice boundary after the workload drains.
+  /// Without the override only open-loop plans with a horizon sample,
+  /// exactly as before.
+  void setSampleInterval(Seconds interval);
 
   /// Chaos landmarks for recoverySec monitors when the run carries an
   /// injected fault schedule: the watchdog's healthy-goodput estimate is

@@ -100,6 +100,11 @@ struct WorkloadPlan {
   Seconds horizonSec = 0.0;
 };
 
+/// Finest goodput timeline slice a spec or setSampleInterval may ask for.
+/// Each slice is one sampler event, so a vanishing interval (1e-300 s)
+/// would spin the sampler without end.
+inline constexpr Seconds kMinSampleIntervalSec = 1e-3;
+
 class WorkloadSource {
  public:
   virtual ~WorkloadSource() = default;

@@ -46,6 +46,11 @@ class OwningReplaySource : public WorkloadSource {
 
 std::string prefix(const std::string& key) { return std::string(kWhere) + "." + key + ": "; }
 
+std::string intervalTooFine() {
+  return "must be >= " + jsonNumber(kMinSampleIntervalSec) +
+         " seconds (each goodput slice is one sampler event)";
+}
+
 bool positiveInt(const JsonValue& w, const char* key, double fallback, std::size_t& out,
                  std::vector<std::string>& problems) {
   const double v = w.numberOr(key, fallback);
@@ -188,6 +193,8 @@ SourceBundle makeOpenLoop(const JsonValue& w, std::vector<std::string>& problems
   cfg.sampleIntervalSec = w.numberOr("sampleIntervalSec", cfg.sampleIntervalSec);
   if (cfg.sampleIntervalSec < 0.0) {
     problems.push_back(prefix("sampleIntervalSec") + "must be >= 0 (0 = horizon/20)");
+  } else if (cfg.sampleIntervalSec > 0.0 && cfg.sampleIntervalSec < kMinSampleIntervalSec) {
+    problems.push_back(prefix("sampleIntervalSec") + intervalTooFine());
   }
   positiveInt(w, "clientsPerRank", static_cast<double>(cfg.clientsPerRank), cfg.clientsPerRank,
               problems);
@@ -304,6 +311,8 @@ void parseWorkloadSpec(const JsonValue& doc, WorkloadRunSpec& out,
   if (const JsonValue* si = doc.find("sampleIntervalSec")) {
     if (!si->isNumber() || *si->number() <= 0.0) {
       problems.push_back("sampleIntervalSec: must be > 0 seconds");
+    } else if (*si->number() < kMinSampleIntervalSec) {
+      problems.push_back("sampleIntervalSec: " + intervalTooFine());
     } else {
       out.sampleIntervalSec = *si->number();
     }

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "config/serialize.hpp"
@@ -241,6 +244,53 @@ TEST(Cli, IorLoadsConfigFile) {
   std::remove(path.c_str());
   EXPECT_EQ(rc, 0);
   EXPECT_NE(out.find("seq-read"), std::string::npos);
+}
+
+// ---- hostile specs: one actionable line and exit 2, never a crash or hang ----
+
+double secondsFor(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+TEST(Cli, DeeplyNestedSpecIsRejected) {
+  const std::string path =
+      writeTempSpec("deep", std::string(50000, '[') + std::string(50000, ']'));
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"sweep", "--spec", path}, {"workload", path}, {"chaos", path}}) {
+    std::ostringstream out, errStream;
+    int rc = 0;
+    const double sec = secondsFor([&] { rc = cli::run(ArgParser(args), out, errStream); });
+    const std::string err = errStream.str();
+    EXPECT_EQ(rc, 2) << args[0];
+    EXPECT_NE(err.find("nesting deeper than 256 levels"), std::string::npos) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    EXPECT_LT(sec, 1.0) << args[0];
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Cli, VanishingSampleIntervalIsRejected) {
+  const std::string generator = R"("generator": "openloop", "clients": 16, "clientsPerNode": 4,
+      "ratePerClientHz": 40, "horizonSec": 8, "objects": 512, "objectBytes": 4194304,
+      "requestBytes": 131072)";
+  // The generator's own key and the runner override (top-level key).
+  for (const std::string& spec :
+       {R"({"site": "lassen", "storage": "vast", "workload": {)" + generator +
+            R"(, "sampleIntervalSec": 1e-300}})",
+        R"({"site": "lassen", "storage": "vast", "sampleIntervalSec": 1e-300, "workload": {)" +
+            generator + "}}"}) {
+    const std::string path = writeTempSpec("tiny_interval", spec);
+    std::string err;
+    int rc = 0;
+    const double sec = secondsFor([&] { rc = runCli({"workload", path}, nullptr, &err); });
+    std::remove(path.c_str());
+    EXPECT_EQ(rc, 2) << err;
+    EXPECT_NE(err.find("sampleIntervalSec: must be >= 0.001 seconds"), std::string::npos) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 2) << err;  // header + one problem
+    EXPECT_LT(sec, 1.0);
+  }
 }
 
 }  // namespace

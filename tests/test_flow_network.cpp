@@ -15,6 +15,8 @@ namespace {
 struct Harness {
   Simulator sim;
   FlowNetwork net{sim};
+  /// Run the events at now() and the end-of-instant solve.
+  void closeInstant() { sim.runUntil(sim.now()); }
 };
 
 TEST(FlowNetwork, SingleFlowUsesFullLink) {
@@ -291,11 +293,16 @@ TEST(FlowNetwork, HysteresisSkipsSubThresholdRerates) {
   Harness h;
   const LinkId l = h.net.addLink("l", 100.0);
   h.net.startFlow({1000, {l}}, [](const FlowCompletion&) {});
+  h.closeInstant();
   const std::uint64_t scheduled = h.net.rerates();
-  // A capacity wiggle far below the hysteresis threshold must not
-  // re-time the completion event.
+  EXPECT_EQ(scheduled, 1u);
+  // A capacity wiggle far below the hysteresis threshold is solved but
+  // must not re-time the completion event.
   h.sim.runUntil(1.0);
+  const std::uint64_t solves = h.net.solves();
   h.net.setLinkCapacity(l, 100.0 * (1.0 - 1e-10));
+  h.closeInstant();
+  EXPECT_EQ(h.net.solves(), solves + 1);
   EXPECT_EQ(h.net.rerates(), scheduled);
   h.sim.run();
 }
@@ -337,8 +344,11 @@ TEST(FlowNetwork, ReratesCountsEpochAdvances) {
   const LinkId l = h.net.addLink("l", 100.0);
   EXPECT_EQ(h.net.rerates(), 0u);
   h.net.startFlow({500, {l}}, [](const FlowCompletion&) {});
+  EXPECT_EQ(h.net.rerates(), 0u);  // nothing is solved before the instant ends
+  h.closeInstant();
   EXPECT_EQ(h.net.rerates(), 1u);  // initial completion scheduling
   h.net.startFlow({1000, {l}}, [](const FlowCompletion&) {});
+  h.closeInstant();
   // The arrival joins the first flow's group and halves its rate: the
   // group's one event (held by the short head) is re-timed once.
   EXPECT_EQ(h.net.rerates(), 2u);
@@ -359,17 +369,118 @@ TEST(FlowNetwork, SameSignatureFlowsHoldOneCompletionEvent) {
   for (Bytes b : sizes) {
     h.net.startFlow({b, {l}}, [&](const FlowCompletion& c) { done.push_back(c.bytes); });
   }
+  h.closeInstant();
   EXPECT_EQ(h.sim.pendingEvents(), 1u);
   EXPECT_NO_THROW(h.net.checkInvariants());
   const std::uint64_t before = h.net.rerates();
   h.sim.runUntil(1.0);
   h.net.setLinkCapacity(l, 500.0);
+  h.closeInstant();
   EXPECT_EQ(h.net.rerates(), before + 1);
   EXPECT_EQ(h.sim.pendingEvents(), 1u);
   h.sim.run();
   ASSERT_EQ(done.size(), sizes.size());
   std::sort(sizes.begin(), sizes.end());
   EXPECT_EQ(done, sizes);
+}
+
+// ---- One solve per simulated instant ----
+
+TEST(FlowNetwork, SameInstantChangesShareOneSolve) {
+  // K arrivals, an abort, a health change and a completion all at t = 5.
+  // With `solveEach` every change is read back through checkInvariants,
+  // which solves right away, as a solve after every change would; the
+  // rates after the instant must match that bit for bit.
+  const auto run = [](bool solveEach) {
+    Harness h;
+    const LinkId a = h.net.addLink("a", 100.0);
+    const LinkId b = h.net.addLink("b", 70.0 / 3.0);
+    const LinkId c = h.net.addLink("c", 100.0);
+    std::vector<FlowId> ids;
+    SimTime doneX = -1.0;
+    const FlowId x = h.net.startFlow({500, {c}}, [&](const FlowCompletion& done) {
+      doneX = done.endTime;  // 500 B alone at 100 B/s: t = 5
+      if (solveEach) h.net.checkInvariants();
+    });
+    ids.push_back(h.net.startFlow({1000000, {b}}, nullptr));
+    FlowSpec heavy{1000000, {b}};
+    heavy.weight = 2.0;
+    const FlowId victim = h.net.startFlow(heavy, nullptr);
+    ids.push_back(h.net.startFlow({1000000, {a, b}}, nullptr));
+    // Scheduled before the first solve, so it runs ahead of x's completion.
+    h.sim.scheduleAt(5.0, [&] {
+      for (int k = 0; k < 5; ++k) {
+        const Route routes[] = {{c}, {a}, {a, b}};
+        FlowSpec spec{100000 + static_cast<Bytes>(k) * 777, routes[k % 3]};
+        spec.weight = 0.5 + k / 3.0;
+        ids.push_back(h.net.startFlow(spec, nullptr));
+        if (solveEach) h.net.checkInvariants();
+      }
+      EXPECT_TRUE(h.net.abortFlow(victim));
+      if (solveEach) h.net.checkInvariants();
+      h.net.setLinkHealth(b, 0.5);
+      if (solveEach) h.net.checkInvariants();
+    });
+    h.sim.runUntil(4.0);
+    const std::uint64_t solves = h.net.solves();
+    h.sim.runUntil(5.0);
+    EXPECT_EQ(doneX, 5.0);
+    EXPECT_EQ(h.net.activeFlows(), ids.size()) << "x done, victim aborted";
+    std::vector<Bandwidth> rates;
+    for (FlowId id : ids) rates.push_back(h.net.flowRate(id));
+    EXPECT_EQ(h.net.flowRate(x), 0.0);
+    EXPECT_NO_THROW(h.net.checkInvariants());
+    return std::pair{h.net.solves() - solves, rates};
+  };
+  const auto [deferredSolves, deferred] = run(false);
+  const auto [eachSolves, each] = run(true);
+  EXPECT_EQ(deferredSolves, 1u);
+  EXPECT_EQ(eachSolves, 5u + 1 + 1 + 1);
+  ASSERT_EQ(deferred.size(), each.size());
+  for (std::size_t i = 0; i < each.size(); ++i) {
+    EXPECT_GT(deferred[i], 0.0);
+    EXPECT_EQ(deferred[i], each[i]) << "flow " << i;
+  }
+}
+
+TEST(FlowNetwork, DestroyedWithPendingSolveLeavesNothingBehind) {
+  Simulator sim;
+  {
+    FlowNetwork net(sim);
+    const LinkId l = net.addLink("l", 100.0);
+    net.startFlow({1000, {l}}, nullptr);  // the instant's solve is pending
+  }
+  sim.run();  // must not call into the destroyed network
+  EXPECT_EQ(sim.eventsDispatched(), 0u);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(FlowNetwork, ClassAndSameInstantSingletonsSolveAlike) {
+  // A class of N members and N singletons started at one instant: the
+  // same completion time and the same number of solves.
+  const auto run = [](bool asClass) {
+    Harness h;
+    const LinkId l = h.net.addLink("l", 1000.0);
+    const LinkId side = h.net.addLink("side", 300.0);
+    constexpr std::uint32_t kMembers = 8;
+    SimTime end = -1.0;
+    const auto done = [&](const FlowCompletion& c) { end = std::max(end, c.endTime); };
+    FlowSpec spec{4000, {l}};
+    if (asClass) {
+      spec.members = kMembers;
+      h.net.startFlow(spec, done);
+    } else {
+      for (std::uint32_t i = 0; i < kMembers; ++i) h.net.startFlow(spec, done);
+    }
+    h.net.startFlow({9000, {l, side}}, nullptr);
+    h.sim.run();
+    return std::pair{h.net.solves(), end};
+  };
+  const auto [classSolves, classEnd] = run(true);
+  const auto [singleSolves, singleEnd] = run(false);
+  EXPECT_EQ(classSolves, singleSolves);
+  EXPECT_EQ(classEnd, singleEnd);
+  EXPECT_GT(classEnd, 0.0);
 }
 
 // ---- Regrouping: reroutes, aborts and out-of-order activation ----

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace hcsim {
 namespace {
 
@@ -41,6 +43,29 @@ TEST(Json, RejectsMalformed) {
                           "{\"a\":1}extra", "{a:1}", "[1 2]", "nan"}) {
     EXPECT_FALSE(parseJson(bad, v)) << bad;
   }
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  const auto nest = [](int depth, const std::string& open, const std::string& close) {
+    std::string s;
+    for (int i = 0; i < depth; ++i) s += open;
+    s += "1";
+    for (int i = 0; i < depth; ++i) s += close;
+    return s;
+  };
+  JsonValue v;
+  std::string error;
+  EXPECT_TRUE(parseJson(nest(kMaxJsonDepth, "[", "]"), v, &error)) << error;
+  EXPECT_TRUE(parseJson(nest(kMaxJsonDepth, "{\"a\":", "}"), v, &error)) << error;
+  // 50,000 levels used to overflow the stack; now they are one clean error.
+  for (const auto& [open, close] : {std::pair{"[", "]"}, std::pair{"{\"a\":", "}"}}) {
+    EXPECT_FALSE(parseJson(nest(50000, open, close), v, &error));
+    EXPECT_NE(error.find("nesting deeper than 256 levels"), std::string::npos) << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos);
+    EXPECT_FALSE(parseJson(nest(kMaxJsonDepth + 1, open, close), v, &error));
+  }
+  EXPECT_FALSE(parseJson("[1,", v, &error));
+  EXPECT_EQ(error, "malformed JSON at byte 3");
 }
 
 TEST(Json, StringEscapes) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace hcsim {
@@ -316,6 +317,85 @@ TEST(Simulator, ZeroDelaySelfReschedulingIsFifoFair) {
   // Each reschedule goes to the back of the same-timestamp queue.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1, 0, 1}));
   EXPECT_EQ(sim.now(), 0.0);
+}
+
+// ---- end-of-instant phase ----
+
+TEST(Simulator, EndOfInstantRunsAfterTheInstantsLastEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  const int owner = 0;
+  sim.schedule(1.0, [&] {
+    order.push_back(1);
+    sim.atEndOfInstant(&owner, [&] { order.push_back(100 + static_cast<int>(sim.now())); });
+  });
+  sim.schedule(1.0, [&] { order.push_back(2); });
+  sim.schedule(2.0, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 101, 3}));
+  // The phase is no event: it takes no dispatch and no schedule.
+  EXPECT_EQ(sim.eventsDispatched(), 3u);
+  EXPECT_EQ(sim.eventsScheduled(), 3u);
+}
+
+TEST(Simulator, EventScheduledAtNowByTheFlushDispatchesAfterIt) {
+  Simulator sim;
+  std::vector<std::string> order;
+  const int owner = 0;
+  int flushes = 0;
+  // Each flush schedules an event at now(), which registers the next
+  // flush, three times over: the run must end, all at t = 1.
+  std::function<void()> flush = [&] {
+    order.push_back("flush");
+    if (++flushes < 3) {
+      sim.schedule(0.0, [&] {
+        order.push_back("event");
+        sim.atEndOfInstant(&owner, [&] { flush(); });
+      });
+    }
+  };
+  sim.schedule(1.0, [&] {
+    order.push_back("start");
+    sim.atEndOfInstant(&owner, [&] { flush(); });
+  });
+  sim.schedule(2.0, [&] { order.push_back("later"); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"start", "flush", "event", "flush", "event",
+                                             "flush", "later"}));
+  EXPECT_EQ(flushes, 3);
+}
+
+TEST(Simulator, ChangesOutsideAnyEventFlushBeforeTimeAdvances) {
+  Simulator sim;
+  const int owner = 0;
+  SimTime flushedAt = -1.0;
+  sim.atEndOfInstant(&owner, [&] { flushedAt = sim.now(); });
+  sim.schedule(5.0, [] {});
+  sim.runUntil(3.0);
+  EXPECT_EQ(flushedAt, 0.0);
+  flushedAt = -1.0;
+  sim.atEndOfInstant(&owner, [&] { flushedAt = sim.now(); });
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(flushedAt, 3.0);
+  EXPECT_EQ(sim.now(), 5.0);
+}
+
+TEST(Simulator, DroppedEndOfInstantCallbacksNeverRun) {
+  Simulator sim;
+  const int a = 0;
+  const int b = 0;
+  std::vector<int> ran;
+  sim.schedule(1.0, [&] {
+    sim.atEndOfInstant(&a, [&] {
+      ran.push_back(1);
+      sim.dropEndOfInstant(&b);  // an owner destroyed by an earlier callback
+    });
+    sim.atEndOfInstant(&b, [&] { ran.push_back(2); });
+  });
+  sim.atEndOfInstant(&b, [&] { ran.push_back(3); });
+  sim.dropEndOfInstant(&b);
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<int>{1}));
 }
 
 TEST(InlineFunction, SmallCapturesStoreInline) {

@@ -185,9 +185,10 @@ TEST(TelemetryFlows, EngineCountersExportThroughRegistry) {
   cfg.repetitions = 1;
   runner.run(cfg);
 
-  // Two unequal flows on a private link: when the short one finishes,
-  // the survivor's completion is re-rated through the in-place
-  // adjust-key path, so `adjusted` must move.
+  // Two unequal flows on a private link, the short one arriving later
+  // (same-instant arrivals share one solve): its arrival re-times the
+  // completion the first one holds through the in-place adjust-key path,
+  // so `adjusted` must move.
   FlowNetwork& net = bench.topo().network();
   const LinkId shared = net.addLink("test.shared", 1e9);
   FlowSpec small;
@@ -196,6 +197,7 @@ TEST(TelemetryFlows, EngineCountersExportThroughRegistry) {
   FlowSpec large;
   large.bytes = 50000;
   large.route = {shared};
+  small.startupLatency = 1e-6;
   net.startFlow(small, [](const FlowCompletion&) {});
   net.startFlow(large, [](const FlowCompletion&) {});
   bench.sim().run();
@@ -213,6 +215,8 @@ TEST(TelemetryFlows, EngineCountersExportThroughRegistry) {
                    static_cast<double>(sim.eventsDispatched()));
   EXPECT_DOUBLE_EQ(reg.counterOr("net.rerates", -1.0),
                    static_cast<double>(bench.topo().network().rerates()));
+  EXPECT_DOUBLE_EQ(reg.counterOr("net.solves", -1.0),
+                   static_cast<double>(bench.topo().network().solves()));
   EXPECT_GT(sim.eventsScheduled(), 0u);
   EXPECT_GE(sim.eventsScheduled(), sim.eventsDispatched());
   EXPECT_GT(bench.topo().network().rerates(), 0u);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -257,6 +258,14 @@ TEST(Io500, BandwidthIsScaleInvariant) {
   const double ratio = s2.meanGBs / s1.meanGBs;
   EXPECT_GT(ratio, 0.7) << s1.meanGBs << " vs " << s2.meanGBs;
   EXPECT_LT(ratio, 1.4) << s1.meanGBs << " vs " << s2.meanGBs;  // ...bandwidth did not
+}
+
+TEST(WorkloadRunner, SampleIntervalOverrideHasAFloor) {
+  Environment env = makeEnvironment(Site::Lassen, StorageKind::Vast, 1);
+  workload::WorkloadRunner runner(*env.bench, *env.fs);
+  EXPECT_THROW(runner.setSampleInterval(1e-300), std::invalid_argument);
+  EXPECT_THROW(runner.setSampleInterval(0.0), std::invalid_argument);
+  EXPECT_NO_THROW(runner.setSampleInterval(workload::kMinSampleIntervalSec));
 }
 
 // ---- telemetry export ----
